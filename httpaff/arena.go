@@ -22,6 +22,17 @@ type arena struct {
 	counters stats.PoolCounters
 }
 
+// Arena sizing: each pooled context starts with readBufferSize and
+// writeBufferSize byte buffers (they grow on demand and oversized ones
+// are shed on release, so these size the steady state, not a limit),
+// and a worker's free list holds at most maxPooledPerWorker contexts;
+// ones released beyond the cap are dropped to the GC.
+const (
+	readBufferSize     = 4096
+	writeBufferSize    = 4096
+	maxPooledPerWorker = 32
+)
+
 // retainCap is the largest buffer the arena keeps on release; a context
 // that ballooned serving an outlier request is shed back to the
 // steady-state size instead of pinning the memory forever.
@@ -39,23 +50,23 @@ func (a *arena) acquire() *RequestCtx {
 	a.counters.Miss()
 	return &RequestCtx{
 		srv:  a.s,
-		rbuf: make([]byte, a.s.cfg.ReadBufferSize),
-		wbuf: make([]byte, 0, a.s.cfg.WriteBufferSize),
+		rbuf: make([]byte, readBufferSize),
+		wbuf: make([]byte, 0, writeBufferSize),
 	}
 }
 
 // release returns a finished context to the free list, shedding
 // oversized buffers, or drops it when the list is full.
 func (a *arena) release(ctx *RequestCtx) {
-	if len(a.free) >= a.s.cfg.MaxPooledPerWorker {
+	if len(a.free) >= maxPooledPerWorker {
 		a.counters.Drop()
 		return
 	}
 	if cap(ctx.rbuf) > retainCap {
-		ctx.rbuf = make([]byte, a.s.cfg.ReadBufferSize)
+		ctx.rbuf = make([]byte, readBufferSize)
 	}
 	if cap(ctx.wbuf) > retainCap {
-		ctx.wbuf = make([]byte, 0, a.s.cfg.WriteBufferSize)
+		ctx.wbuf = make([]byte, 0, writeBufferSize)
 	}
 	if cap(ctx.resp.body) > retainCap {
 		ctx.resp.body = nil

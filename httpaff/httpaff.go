@@ -63,13 +63,6 @@ type Config struct {
 	// "httpaff").
 	ServerName string
 
-	// ReadBufferSize and WriteBufferSize are the initial sizes of each
-	// pooled context's request and response buffers (defaults 4096).
-	// Buffers grow on demand and oversized ones are shed on release,
-	// so these size the steady state, not a limit.
-	ReadBufferSize  int
-	WriteBufferSize int
-
 	// MaxHeaderBytes bounds the request line plus headers (default
 	// 8192); larger requests are answered 431 and closed.
 	MaxHeaderBytes int
@@ -123,30 +116,11 @@ type Config struct {
 	// responses, rounded up to whole seconds (default 1s).
 	RetryAfter time.Duration
 
-	// MaxPooledPerWorker caps each worker arena's free list (default
-	// 32); contexts released beyond the cap are dropped to the GC.
-	MaxPooledPerWorker int
-
 	// WorkerUpstream, if set, reports each worker's upstream
 	// connection-pool counters and is passed through to
 	// serve.Config.WorkerUpstream, so Stats carries them. The proxyaff
 	// layer wires its per-worker backend pools here.
 	WorkerUpstream func(worker int) serve.PoolStats
-
-	// ObsSampleShift subsamples the request-path histograms: 1 in
-	// 2^ObsSampleShift handler passes is timed and sized (0 = every
-	// pass). The per-pass cost of a sampled pass is two clock reads and
-	// six atomic adds — cheap enough to keep at 0 in most deployments;
-	// the knob exists for request rates where even that shows.
-	ObsSampleShift uint
-	// EventRingSize and HistSubBits pass through to the transport's
-	// observability plane (serve.Config); HistSubBits also sets the
-	// resolution of the HTTP layer's latency/size histograms.
-	EventRingSize int
-	HistSubBits   int
-	// DisableObs turns off event tracing and histograms in both this
-	// layer and the transport.
-	DisableObs bool
 
 	// The remaining fields pass straight through to serve.Config:
 	// queueing, stealing, migration and transport-level admission
@@ -178,27 +152,15 @@ func (c *Config) fill() error {
 	if c.ServerName == "" {
 		c.ServerName = "httpaff"
 	}
-	if c.ReadBufferSize <= 0 {
-		c.ReadBufferSize = 4096
-	}
-	if c.WriteBufferSize <= 0 {
-		c.WriteBufferSize = 4096
-	}
 	if c.MaxHeaderBytes <= 0 {
 		c.MaxHeaderBytes = 8192
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.MaxPooledPerWorker <= 0 {
-		c.MaxPooledPerWorker = 32
-	}
 	if c.MaxRequestsPerConn < 0 || c.IdleTimeout < 0 || c.ReadTimeout < 0 ||
 		c.HeaderTimeout < 0 || c.MaxInflightHeaders < 0 || c.RetryAfter < 0 {
 		return errors.New("httpaff: limits must be non-negative")
-	}
-	if c.EventRingSize < 0 || c.HistSubBits < 0 || c.ObsSampleShift > 62 {
-		return errors.New("httpaff: EventRingSize and HistSubBits must be non-negative, ObsSampleShift at most 62")
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
@@ -244,12 +206,8 @@ type Server struct {
 	admitw          []admitCounters
 
 	// obsw holds each worker's request-path histograms (service
-	// latency, request/response sizes); obsMask is the sampling mask
-	// derived from ObsSampleShift (0 = record every pass). obsOn gates
-	// the whole plane so DisableObs removes even the clock reads.
-	obsw    []workerObs
-	obsMask uint64
-	obsOn   bool
+	// latency, request/response sizes).
+	obsw []workerObs
 }
 
 // admitCounters is one worker's admission-policy counters, updated only
@@ -275,22 +233,14 @@ func New(cfg Config) (*Server, error) {
 		arenas:   make([]*arena, cfg.Workers),
 		stopDate: make(chan struct{}),
 		admitw:   make([]admitCounters, cfg.Workers),
+		obsw:     make([]workerObs, cfg.Workers),
 		shed503: []byte(fmt.Sprintf(
 			"HTTP/1.1 503 Service Unavailable\r\nServer: %s\r\nRetry-After: %d\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
 			cfg.ServerName, retry)),
 	}
 	for i := range s.arenas {
 		s.arenas[i] = &arena{s: s}
-	}
-	if !cfg.DisableObs {
-		s.obsOn = true
-		s.obsMask = uint64(1)<<cfg.ObsSampleShift - 1
-		s.obsw = make([]workerObs, cfg.Workers)
-		for i := range s.obsw {
-			s.obsw[i].svc = obs.NewHist(cfg.HistSubBits)
-			s.obsw[i].reqBytes = obs.NewHist(cfg.HistSubBits)
-			s.obsw[i].respBytes = obs.NewHist(cfg.HistSubBits)
-		}
+		s.obsw[i] = newWorkerObs()
 	}
 	s.refreshDate()
 	srv, err := serve.New(serve.Config{
@@ -313,9 +263,6 @@ func New(cfg Config) (*Server, error) {
 		DisableDistanceAware: cfg.DisableDistanceAware,
 		AdaptiveMigration:    cfg.AdaptiveMigration,
 		PinWorkers:           cfg.PinWorkers,
-		EventRingSize:        cfg.EventRingSize,
-		HistSubBits:          cfg.HistSubBits,
-		DisableObs:           cfg.DisableObs,
 		WorkerPool: func(worker int) serve.PoolStats {
 			return s.arenas[worker].counters.Snapshot()
 		},
@@ -666,25 +613,13 @@ const flushEvery = 32 << 10
 // and flush in one write.
 func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 	c := ctx.state
-	var ow *workerObs
-	if s.obsOn {
-		ow = &s.obsw[ctx.worker]
-	}
+	ow := &s.obsw[ctx.worker]
 	for {
-		// Sampled passes time head-read start -> response flush (or, for
-		// a mid-pipeline request, response serialization) and size the
-		// request/response; the cost is two clock reads and six atomic
-		// adds, all worker-local.
-		var t0, outBefore int64
-		sampled := false
-		if ow != nil {
-			ow.n++
-			if ow.n&s.obsMask == 0 {
-				sampled = true
-				t0 = obs.Nanos()
-				outBefore = int64(ctx.written())
-			}
-		}
+		// Every request is timed from head-read start to response flush
+		// (or, for a mid-pipeline request, response serialization) and
+		// sized; the cost is two clock reads and six atomic adds, all
+		// worker-local.
+		t0, outBefore := obs.Nanos(), int64(ctx.written())
 		err := ctx.readRequest()
 		if ctx.headerSlot {
 			// The fresh connection's first head read is over (parsed or
@@ -726,9 +661,7 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 		ctx.appendResponse(closing)
 		if closing {
 			ctx.flush()
-			if sampled {
-				ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
-			}
+			ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
 			ctx.conn.Close()
 			return false
 		}
@@ -737,17 +670,13 @@ func (s *Server) servePass(ctx *RequestCtx) (park bool) {
 				ctx.conn.Close()
 				return false
 			}
-			if sampled {
-				ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
-			}
+			ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
 			return true
 		}
-		if sampled {
-			// Mid-pipeline: the response is serialized but rides a later
-			// flush; bill through serialization rather than hold the
-			// sample hostage to unrelated pipelined requests.
-			ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
-		}
+		// Mid-pipeline: the response is serialized but rides a later
+		// flush; bill through serialization rather than hold the sample
+		// hostage to unrelated pipelined requests.
+		ow.record(obs.Nanos()-t0, int64(ctx.rpos), int64(ctx.written())-outBefore)
 		// More pipelined input is already buffered: keep serving on
 		// this worker, flushing periodically.
 		if len(ctx.wbuf) >= flushEvery {

@@ -84,11 +84,14 @@ func MetricsHandler(srv *Server, extras ...func(io.Writer)) HandlerFunc {
 		}
 		fmt.Fprintf(&b, "# HELP affinity_queue_depth Instantaneous per-worker queue depth.\n# TYPE affinity_queue_depth gauge\n")
 		for _, w := range st.Workers {
+			fmt.Fprintf(&b, "affinity_queue_depth{worker=\"%d\"} %d\n", w.Worker, w.QueueDepth)
+		}
+		fmt.Fprintf(&b, "# HELP affinity_worker_busy Whether each worker is over its sec 3.3.1 busy watermark (1) or not (0).\n# TYPE affinity_worker_busy gauge\n")
+		for _, w := range st.Workers {
 			busy := 0
 			if w.Busy {
 				busy = 1
 			}
-			fmt.Fprintf(&b, "affinity_queue_depth{worker=\"%d\"} %d\n", w.Worker, w.QueueDepth)
 			fmt.Fprintf(&b, "affinity_worker_busy{worker=\"%d\"} %d\n", w.Worker, busy)
 		}
 		fmt.Fprintf(&b, "# HELP affinity_dropped_total Connections shed on queue overflow.\n# TYPE affinity_dropped_total counter\naffinity_dropped_total %d\n", st.Dropped)

@@ -12,14 +12,19 @@ import (
 // workerObs is one worker's request-path histograms. Each worker
 // records only into its own entry — from its own goroutine, with two
 // atomic adds per histogram sample — and the merge across workers
-// happens at scrape time, never on the hot path. The pad keeps the
-// per-worker pass counter off its neighbors' cache lines.
+// happens at scrape time, never on the hot path.
 type workerObs struct {
 	svc       *obs.Hist // head-read -> flush service latency, ns
 	reqBytes  *obs.Hist // bytes consumed per request (head + body)
 	respBytes *obs.Hist // bytes serialized per response
-	n         uint64    // pass counter driving the sampling mask
-	_         [32]byte
+}
+
+func newWorkerObs() workerObs {
+	return workerObs{
+		svc:       obs.NewHist(obs.DefaultSubBits),
+		reqBytes:  obs.NewHist(obs.DefaultSubBits),
+		respBytes: obs.NewHist(obs.DefaultSubBits),
+	}
 }
 
 // record samples one completed request into the worker's histograms.
@@ -30,11 +35,8 @@ func (ow *workerObs) record(svcNs, reqB, respB int64) {
 }
 
 // mergedSvc returns the service-latency histogram merged across
-// workers; empty when observability is off. Diagnostic path: allocates.
+// workers. Diagnostic path: allocates.
 func (s *Server) mergedSvc() obs.HistSnapshot {
-	if !s.obsOn {
-		return obs.HistSnapshot{}
-	}
 	m := s.obsw[0].svc.Snapshot()
 	for i := 1; i < len(s.obsw); i++ {
 		m.Merge(s.obsw[i].svc.Snapshot())
@@ -47,12 +49,9 @@ func (s *Server) mergedSvc() obs.HistSnapshot {
 // start of a request's head read to its response flush, as measured on
 // the workers. The benchmark records these next to the client-observed
 // quantiles, so queueing delay (client-side minus server-side) is
-// separable from service time. Zeros when observability is disabled.
+// separable from service time.
 func (s *Server) ServiceLatencyQuantiles(qs ...float64) []time.Duration {
 	out := make([]time.Duration, len(qs))
-	if !s.obsOn {
-		return out
-	}
 	m := s.mergedSvc()
 	for i, q := range qs {
 		out[i] = time.Duration(m.Quantile(q))
@@ -62,12 +61,8 @@ func (s *Server) ServiceLatencyQuantiles(qs ...float64) []time.Duration {
 
 // WriteObsMetrics renders the HTTP layer's request-path histograms in
 // Prometheus text format. The unified MetricsHandler composes it with
-// the transport's WriteObsMetrics; it writes nothing when observability
-// is disabled.
+// the transport's WriteObsMetrics.
 func (s *Server) WriteObsMetrics(w io.Writer) {
-	if !s.obsOn {
-		return
-	}
 	obs.WriteProm(w, "affinity_http_request_duration_seconds",
 		"Service latency from head-read start to response flush, measured on the worker.",
 		s.mergedSvc(), 1e-9)

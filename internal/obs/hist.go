@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// DefaultSubBits is the histogram resolution knob's default: 2^4 = 16
+// DefaultSubBits is the resolution the serving stack uses: 2^4 = 16
 // sub-buckets per power of two, a worst-case relative error of 1/16 =
 // 6.25% on any reconstructed quantile. One histogram at this resolution
 // is ~960 buckets — under 8KiB — so a stack of them per worker is cache

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultRingSize is the per-ring slot count when the config knob is
-// zero: 1024 events per worker keeps minutes of control-plane history
+// DefaultRingSize is the per-ring slot count the serving stack uses:
+// 1024 events per worker keeps minutes of control-plane history
 // (migrations, sheds, ratelimits are rare) and a second or two of
 // park/wake churn under load, at 64KiB per ring.
 const DefaultRingSize = 1024

@@ -98,12 +98,6 @@ type Config struct {
 	// MaxResponseHeaderBytes bounds an upstream response head (default
 	// 8192); larger heads are answered 502.
 	MaxResponseHeaderBytes int
-
-	// HistSubBits sets the resolution of the upstream exchange-latency
-	// histograms (0 = the obs default, 6.25% relative error); DisableObs
-	// turns them off entirely.
-	HistSubBits int
-	DisableObs  bool
 }
 
 func (c *Config) fill() error {
@@ -144,9 +138,6 @@ func (c *Config) fill() error {
 	if c.MaxResponseHeaderBytes <= 0 {
 		c.MaxResponseHeaderBytes = 8192
 	}
-	if c.HistSubBits < 0 {
-		return errors.New("proxyaff: HistSubBits must be non-negative")
-	}
 	return nil
 }
 
@@ -171,7 +162,7 @@ type proxyWorker struct {
 	rbuf []byte // upstream request head buffer
 
 	// exch is the worker's upstream exchange-latency histogram: backend
-	// pick to response relayed, dial included. Nil when DisableObs.
+	// pick to response relayed, dial included.
 	exch *obs.Hist
 }
 
@@ -197,7 +188,6 @@ type Proxy struct {
 	workers  []proxyWorker
 	tunnels  atomic.Int64  // 101 upgrades currently being relayed
 	tunneled atomic.Uint64 // 101 upgrades relayed, lifetime
-	obsOn    bool
 }
 
 // New creates a Proxy. Wire p.Serve as the httpaff handler and
@@ -215,15 +205,12 @@ func New(cfg Config) (*Proxy, error) {
 	for i := range p.backends {
 		p.backends[i].addr = cfg.Backends[i]
 	}
-	p.obsOn = !cfg.DisableObs
 	for i := range p.workers {
 		w := &p.workers[i]
 		w.pool.init(cfg.DialTimeout, cfg.MaxIdlePerBackend, cfg.MaxConnsPerBackend)
 		w.hbuf = make([]byte, 4096)
 		w.rbuf = make([]byte, 0, 1024)
-		if p.obsOn {
-			w.exch = obs.NewHist(cfg.HistSubBits)
-		}
+		w.exch = obs.NewHist(obs.DefaultSubBits)
 	}
 	return p, nil
 }
@@ -387,10 +374,7 @@ func (p *Proxy) Serve(ctx *httpaff.RequestCtx) {
 	// serves both the ejection-window checks and the exchange deadline:
 	// no per-request time.Now in the proxy hot path.
 	now := ctx.CoarseNow()
-	var t0 int64
-	if p.obsOn {
-		t0 = obs.Nanos()
-	}
+	t0 := obs.Nanos()
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		b := p.pick(w, wid, now.UnixNano())
@@ -406,9 +390,7 @@ func (p *Proxy) Serve(ctx *httpaff.RequestCtx) {
 		}
 		done, retry, err := p.exchange(ctx, w, uc, b, reused)
 		if done {
-			if p.obsOn {
-				w.exch.Record(obs.Nanos() - t0)
-			}
+			w.exch.Record(obs.Nanos() - t0)
 			return
 		}
 		lastErr = err

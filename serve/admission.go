@@ -74,7 +74,6 @@ func (s *Server) admitBudget(conn net.Conn) net.Conn {
 			conn.Close()
 			return nil
 		}
-		s.shedParked.Add(1)
 	}
 	s.notePeak()
 	return &budgetConn{Conn: conn, srv: s}
@@ -104,7 +103,6 @@ func (s *Server) shedParkedConns(n int) int {
 			break
 		}
 	}
-	s.shedParked.Add(uint64(shed))
 	return shed
 }
 
@@ -114,7 +112,9 @@ func (s *Server) shedParkedConns(n int) int {
 // loop head with the largest sequence: O(workers) per shed, against the
 // old design's single global lock on every park. The close is
 // synchronous (the caller gets the descriptor back before its next
-// accept) and fires the victim's ParkCloseNotifier.
+// accept) and fires the victim's ParkCloseNotifier. The shed is counted
+// before the close, so a peer that sees its connection end also sees
+// ShedParked include it.
 func (s *Server) shedNewestParked() bool {
 	// Two attempts: between reading the heads and detaching, the chosen
 	// loop's head can wake and drain; rescan once before giving up.
@@ -136,6 +136,7 @@ func (s *Server) shedNewestParked() bool {
 			// park/wake churn can't overwrite them.
 			port := remotePort(p.Conn)
 			s.recordControl(bestWorker, obs.KindShed, s.GroupOfPort(port), port, 0, 0)
+			s.shedParked.Add(1)
 			s.closeParked(p)
 			return true
 		}
@@ -162,7 +163,6 @@ func (s *Server) ChargeConn(delta int) {
 		if !s.shedNewestParked() {
 			break
 		}
-		s.shedParked.Add(1)
 	}
 	s.notePeak()
 }

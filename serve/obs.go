@@ -18,8 +18,9 @@ import (
 // with the machine distance model. All of it is allocation-free on the
 // hot path — histograms are atomic bucket arrays, rings are
 // preallocated slots, hop counters and pair cells are single atomic
-// adds — and merged only at snapshot time. nil when Config.DisableObs
-// is set; every hook checks.
+// adds — and merged only at snapshot time. The plane is always on:
+// 1024-slot rings (obs.DefaultRingSize) and histograms at the obs
+// default resolution (6.25% worst-case relative quantile error).
 type serverObs struct {
 	// rings holds Workers+1 event rings sharing one sequence counter.
 	// Ring i carries worker i's high-churn events (accept, park, wake,
@@ -59,9 +60,9 @@ type serverObs struct {
 	migrate *obs.Hist   // ns per balance tick (BalanceTable call)
 }
 
-func newServerObs(workers, groups, ringSize, subBits, chips int) *serverObs {
+func newServerObs(workers, groups, chips int) *serverObs {
 	o := &serverObs{
-		rings:        obs.NewRings(workers+1, ringSize),
+		rings:        obs.NewRings(workers+1, obs.DefaultRingSize),
 		control:      workers,
 		hops:         make([]atomic.Uint32, groups),
 		machine:      topology(workers, chips),
@@ -69,11 +70,11 @@ func newServerObs(workers, groups, ringSize, subBits, chips int) *serverObs {
 		migratePairs: make([]atomic.Uint64, workers*workers),
 		park:         make([]*obs.Hist, workers),
 		steal:        make([]*obs.Hist, workers),
-		migrate:      obs.NewHist(subBits),
+		migrate:      obs.NewHist(obs.DefaultSubBits),
 	}
 	for i := range o.park {
-		o.park[i] = obs.NewHist(subBits)
-		o.steal[i] = obs.NewHist(subBits)
+		o.park[i] = obs.NewHist(obs.DefaultSubBits)
+		o.steal[i] = obs.NewHist(obs.DefaultSubBits)
 	}
 	return o
 }
@@ -119,11 +120,8 @@ func (s *Server) coarseUnix(w int) int64 {
 // RecordEvent publishes one control-plane event onto worker w's event
 // ring, outside any flow journey. Application layers stacked above
 // serve use it to land their events in the same merged timeline as the
-// server's own. No-op when observability is disabled; zero allocations.
+// server's own. Zero allocations.
 func (s *Server) RecordEvent(w int, k obs.Kind, a, b, c int64) {
-	if s.obs == nil {
-		return
-	}
 	r := w
 	if r < 0 || r >= s.cfg.Workers {
 		r = 0
@@ -138,9 +136,6 @@ func (s *Server) RecordEvent(w int, k obs.Kind, a, b, c int64) {
 // the server's accept/steal/migrate hops. Pass a negative group for an
 // event outside any journey. Zero allocations.
 func (s *Server) RecordGroupEvent(w int, k obs.Kind, g int, a, b, c int64) {
-	if s.obs == nil {
-		return
-	}
 	r := w
 	if r < 0 || r >= s.cfg.Workers {
 		r = 0
@@ -166,9 +161,6 @@ func (s *Server) recordGroup(r int, k obs.Kind, w, g int, a, b, c int64) {
 // onto the control ring, where worker-ring churn cannot overwrite it,
 // tagged with flow group g (negative for none).
 func (s *Server) recordControl(w int, k obs.Kind, g int, a, b, c int64) {
-	if s.obs == nil {
-		return
-	}
 	s.recordGroup(s.obs.control, k, w, g, a, b, c)
 }
 
@@ -186,25 +178,6 @@ func (o *serverObs) countMigrate(from, to, workers int) {
 	if from >= 0 && from < workers && to >= 0 && to < workers {
 		o.migratePairs[from*workers+to].Add(1)
 	}
-}
-
-// crossChip reports whether workers a and b live on different chips of
-// the configured topology — the distance line the attribution pass
-// prices hops against.
-func (s *Server) crossChip(a, b int) bool {
-	if s.obs == nil {
-		return false
-	}
-	return !s.obs.machine.SameChip(a, b)
-}
-
-// WorkerChip reports which chip of the configured topology worker w
-// maps to (always 0 on a flat machine).
-func (s *Server) WorkerChip(w int) int {
-	if s.obs == nil {
-		return 0
-	}
-	return s.obs.machine.Chip(w)
 }
 
 // CostMatrix is the snapshot of one worker-pair attribution matrix
@@ -240,28 +213,22 @@ func (o *serverObs) matrix(cells []atomic.Uint64, workers int) CostMatrix {
 }
 
 // StealMatrix returns the thief×victim steal attribution matrix.
-// Diagnostic path: allocates. Zero-valued when observability is off.
+// Diagnostic path: allocates.
 func (s *Server) StealMatrix() CostMatrix {
-	if s.obs == nil {
-		return CostMatrix{}
-	}
 	return s.obs.matrix(s.obs.stealPairs, s.cfg.Workers)
 }
 
 // MigrateMatrix returns the from×to migration attribution matrix.
-// Diagnostic path: allocates. Zero-valued when observability is off.
+// Diagnostic path: allocates.
 func (s *Server) MigrateMatrix() CostMatrix {
-	if s.obs == nil {
-		return CostMatrix{}
-	}
 	return s.obs.matrix(s.obs.migratePairs, s.cfg.Workers)
 }
 
 // GroupOfPort reports which flow group a remote TCP port hashes into —
 // the join key layers above serve need to tag their own events onto the
-// right journey. -1 for invalid ports or when observability is off.
+// right journey. -1 for invalid ports.
 func (s *Server) GroupOfPort(port int64) int {
-	if s.obs == nil || port < 0 || port > 65535 {
+	if port < 0 || port > 65535 {
 		return -1
 	}
 	return s.flow.GroupOf(uint16(port))
@@ -269,49 +236,34 @@ func (s *Server) GroupOfPort(port int64) int {
 
 // Events drains every event ring into one timeline ordered by sequence
 // number — the server's recent control-plane history. Diagnostic path:
-// allocates. Empty when observability is disabled.
+// allocates.
 func (s *Server) Events() []obs.Event {
-	if s.obs == nil {
-		return nil
-	}
 	return s.obs.rings.Events()
 }
 
 // EventsSince drains the merged timeline keeping only events with
 // Seq > since — the incremental-poll cursor behind /debug/events?since=.
-// Diagnostic path: allocates. Empty when observability is disabled.
+// Diagnostic path: allocates.
 func (s *Server) EventsSince(since uint64) []obs.Event {
-	if s.obs == nil {
-		return nil
-	}
 	return s.obs.rings.EventsSince(since)
 }
 
 // Journeys stitches the merged timeline into per-flow-group causal
 // journeys (see obs.Stitch), keeping only events with Seq > since.
-// Diagnostic path: allocates. Empty when observability is disabled.
+// Diagnostic path: allocates.
 func (s *Server) Journeys(since uint64) []obs.Journey {
-	if s.obs == nil {
-		return nil
-	}
 	return obs.Stitch(s.obs.rings.EventsSince(since))
 }
 
 // EventsRecorded reports how many events have been published since
 // start (including ones since overwritten by ring wraparound).
 func (s *Server) EventsRecorded() uint64 {
-	if s.obs == nil {
-		return 0
-	}
 	return s.obs.rings.Recorded()
 }
 
 // EventsDropped reports events lost to writer collisions on a lapped
 // ring slot — nonzero only under pathological event rates.
 func (s *Server) EventsDropped() uint64 {
-	if s.obs == nil {
-		return 0
-	}
 	return s.obs.rings.Dropped()
 }
 
@@ -323,25 +275,6 @@ func (s *Server) ClockLag(w int) time.Duration {
 		return 0
 	}
 	return time.Since(s.loops[w].Now())
-}
-
-// ParkDurationSnapshot returns the merged park-duration histogram
-// (nanoseconds parked between requests), empty when observability is
-// disabled. Diagnostic path: allocates.
-func (s *Server) ParkDurationSnapshot() obs.HistSnapshot {
-	if s.obs == nil {
-		return obs.HistSnapshot{}
-	}
-	return mergeHists(s.obs.park)
-}
-
-// StealCostSnapshot returns the merged steal-cost histogram (queue-pop
-// nanoseconds for stolen connections). Diagnostic path: allocates.
-func (s *Server) StealCostSnapshot() obs.HistSnapshot {
-	if s.obs == nil {
-		return obs.HistSnapshot{}
-	}
-	return mergeHists(s.obs.steal)
 }
 
 func mergeHists(hs []*obs.Hist) obs.HistSnapshot {
@@ -356,11 +289,8 @@ func mergeHists(hs []*obs.Hist) obs.HistSnapshot {
 // Prometheus text format: park/steal/migrate histograms, event-ring
 // counters, per-worker event-loop delivery counters and coarse-clock
 // lag gauges. The httpaff metrics handler composes it into the unified
-// exporter; it writes nothing when observability is disabled.
+// exporter.
 func (s *Server) WriteObsMetrics(w io.Writer) {
-	if s.obs == nil {
-		return
-	}
 	obs.WriteProm(w, "affinity_park_duration_seconds",
 		"Time keep-alive connections spent parked between requests.",
 		mergeHists(s.obs.park), 1e-9)

@@ -18,7 +18,6 @@ func TestPinWorkersFallbackParity(t *testing.T) {
 		Workers:    2,
 		Handler:    echoHandler,
 		PinWorkers: true,
-		DisableObs: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +52,7 @@ func TestPinWorkersFallbackParity(t *testing.T) {
 // TestPinWorkersOffReportsUnpinned: without the knob, every worker
 // reports -1 and the stats carry no pinning line.
 func TestPinWorkersOffReportsUnpinned(t *testing.T) {
-	s, err := New(Config{Workers: 2, Handler: echoHandler, DisableObs: true})
+	s, err := New(Config{Workers: 2, Handler: echoHandler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,6 @@ func TestAdaptiveMigrationBacksOffAndSnapsBack(t *testing.T) {
 		AdaptiveMigration: true,
 		MigrateInterval:   base,
 		DisableMigration:  false,
-		DisableObs:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +103,7 @@ func TestAdaptiveMigrationBacksOffAndSnapsBack(t *testing.T) {
 // TestAdaptiveMigrationDisabled: without the knob the interval stays
 // fixed and Stats reports no adaptive state.
 func TestAdaptiveMigrationDisabled(t *testing.T) {
-	s, err := New(Config{Workers: 2, Handler: echoHandler, DisableObs: true})
+	s, err := New(Config{Workers: 2, Handler: echoHandler})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,9 +136,7 @@ func (s *Server) Requeue(conn net.Conn) bool {
 		return true
 	}
 	w := s.parkWorker(p)
-	if s.obs != nil {
-		p.armedAt = obs.Nanos()
-	}
+	p.armedAt = obs.Nanos()
 	// p.loop (like armedAt) must be written before Arm publishes the
 	// handle: the loop-side callbacks read both, and Arm's mutex is the
 	// happens-before edge that makes the plain fields safe.
@@ -192,27 +190,25 @@ func parkDeadline(c net.Conn) time.Time {
 func (s *Server) parkWake(c net.Conn) {
 	p := c.(*parkedConn)
 	group, worker := s.route(p)
-	if s.obs != nil {
-		if at := p.armedAt; at != 0 {
-			p.armedAt = 0
-			d := obs.Nanos() - at
-			s.obs.park[worker].Record(d)
-			port := remotePort(p.Conn)
-			s.RecordGroupEvent(worker, obs.KindWake, group, port, d, 0)
-			if p.loop >= 0 && int(p.loop) != worker {
-				// The flow group migrated while the connection was
-				// parked: it woke on its park loop but routes to the
-				// group's new owner — the moment §3.3.2 pays off for a
-				// requeued connection. C carries the distance verdict:
-				// 1 when the park loop and the new owner live on
-				// different chips of the configured topology, i.e. the
-				// reroute crossed the Table 1 RemoteL3 line.
-				var cross int64
-				if s.crossChip(int(p.loop), worker) {
-					cross = 1
-				}
-				s.RecordGroupEvent(worker, obs.KindReroute, group, port, int64(p.loop), cross)
+	if at := p.armedAt; at != 0 {
+		p.armedAt = 0
+		d := obs.Nanos() - at
+		s.obs.park[worker].Record(d)
+		port := remotePort(p.Conn)
+		s.RecordGroupEvent(worker, obs.KindWake, group, port, d, 0)
+		if p.loop >= 0 && int(p.loop) != worker {
+			// The flow group migrated while the connection was parked:
+			// it woke on its park loop but routes to the group's new
+			// owner — the moment §3.3.2 pays off for a requeued
+			// connection. C carries the distance verdict: 1 when the
+			// park loop and the new owner live on different chips of
+			// the configured topology, i.e. the reroute crossed the
+			// Table 1 RemoteL3 line.
+			var cross int64
+			if !s.obs.machine.SameChip(int(p.loop), worker) {
+				cross = 1
 			}
+			s.RecordGroupEvent(worker, obs.KindReroute, group, port, int64(p.loop), cross)
 		}
 	}
 	if !s.bal.Push(worker, p) {
