@@ -10,28 +10,15 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"affinityaccept/httpaff"
+	"affinityaccept/serve"
 )
-
-// hostileOpts carries the -hostile flag values on top of the -http ones.
-type hostileOpts struct {
-	httpOpts
-	slowloris int           // concurrent header-dripping clients
-	floods    int           // concurrent per-IP connect-flood clients
-	ipRate    float64       // per-IP accept rate (conns/sec/bucket)
-	ipBurst   int           // per-IP accept burst
-	maxConns  int           // transport connection budget
-	headerTO  time.Duration // header read deadline
-}
 
 // hostileCounters aggregates what the attackers observed from outside.
 type hostileCounters struct {
@@ -43,48 +30,31 @@ type hostileCounters struct {
 
 // runHostileBench starts a hardened httpaff server, lets the normal
 // workload settle, unleashes the attackers, and reports both sides.
-func runHostileBench(o hostileOpts) error {
-	if o.workers <= 0 {
-		o.workers = runtime.GOMAXPROCS(0)
-		if o.workers < 2 {
-			o.workers = 2
-		}
+func runHostileBench(o opts) error {
+	if o.ipBurst <= 0 {
+		o.ipBurst = 2 * o.clients
 	}
-	if o.pipeline <= 0 {
-		o.pipeline = 16
-	}
-	inflightCap := o.workers / 2
-	if inflightCap < 1 {
-		inflightCap = 1
-	}
+	inflightCap := max(o.workers/2, 1)
 	body := bytes.Repeat([]byte("x"), o.payload)
-	srv, err := httpaff.New(httpaff.Config{
-		Addr:             o.addr,
-		Workers:          o.workers,
-		DisableReusePort: o.noShard,
-		FlowGroups:       o.groups,
-		MigrateInterval:  o.migrateEvery,
-		DisableMigration: !o.migrate,
-		Handler: func(ctx *httpaff.RequestCtx) {
-			ctx.Write(body)
-		},
-		PerIPAcceptRate:    o.ipRate,
-		PerIPAcceptBurst:   o.ipBurst,
-		MaxConns:           o.maxConns,
-		HeaderTimeout:      o.headerTO,
-		MaxInflightHeaders: inflightCap,
-		ShedOnOverload:     true,
-	})
+	cfg := o.httpConfig(func(ctx *httpaff.RequestCtx) { ctx.Write(body) })
+	cfg.PerIPAcceptRate = o.ipRate
+	cfg.PerIPAcceptBurst = o.ipBurst
+	cfg.MaxConns = o.maxConns
+	cfg.HeaderTimeout = o.headerTO
+	cfg.MaxInflightHeaders = inflightCap
+	cfg.ShedOnOverload = true
+	srv, err := httpaff.New(cfg)
 	if err != nil {
 		return err
 	}
 	srv.Start()
 	target := srv.Addr().String()
-	fmt.Printf("httpaff (hardened) on %s: %d workers, per-IP %.0f conn/s burst %d, budget %d conns, header deadline %v, %d header slots\n",
-		target, o.workers, o.ipRate, o.ipBurst, o.maxConns, o.headerTO, inflightCap)
+	banner("httpaff (hardened)", srv, o)
+	fmt.Printf("admission: per-IP %.0f conn/s burst %d, budget %d conns, header deadline %v, %d header slots\n",
+		o.ipRate, o.ipBurst, o.maxConns, o.headerTO, inflightCap)
 
 	var hc hostileCounters
-	stop := time.Now().Add(o.duration)
+	h := newHarness(o.duration)
 	var attackers sync.WaitGroup
 
 	// Attackers hold fire until the normal clients are established
@@ -99,167 +69,48 @@ func runHostileBench(o hostileOpts) error {
 	slowSrc := loopbackSource(254, 1)
 	for i := 0; i < o.slowloris; i++ {
 		attackers.Add(1)
-		go func(id int) {
+		go func() {
 			defer attackers.Done()
-			runSlowloris(target, slowSrc, attackStart, stop, &hc)
-		}(i)
+			runSlowloris(target, slowSrc, attackStart, h.stop, &hc)
+		}()
 	}
 	for i := 0; i < o.floods; i++ {
 		attackers.Add(1)
-		go func(id int) {
-			defer attackers.Done()
-			runFlood(target, loopbackSource(1+id/250, 2+id%250), attackStart, stop, &hc)
-		}(i)
-	}
-
-	lat, requests, failed := driveHostileHTTP(target, o.httpOpts)
-	attackers.Wait()
-	secs := o.duration.Seconds()
-
-	fmt.Println()
-	fmt.Printf("HOSTILE — %d well-behaved pipelined conns vs %d slowloris + %d per-IP floods\n",
-		o.clients, o.slowloris, o.floods)
-	header := []string{"workers", "conns", "secs", "req/s", "p50(us)", "p95(us)", "p99(us)", "failed"}
-	row := []string{
-		fmt.Sprintf("%d", o.workers),
-		fmt.Sprintf("%d", o.clients),
-		fmt.Sprintf("%.1f", secs),
-		fmt.Sprintf("%.0f", float64(requests)/secs),
-		fmt.Sprintf("%.0f", percentile(lat, 50)),
-		fmt.Sprintf("%.0f", percentile(lat, 95)),
-		fmt.Sprintf("%.0f", percentile(lat, 99)),
-		fmt.Sprintf("%d", failed),
-	}
-	printAligned(header, [][]string{row})
-
-	ad := srv.Admission()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Println("shutdown:", err)
-	}
-	st := srv.Stats()
-
-	fmt.Println()
-	fmt.Printf("slowloris: %d clients, %d cut off at the header deadline (server counted %d)\n",
-		o.slowloris, hc.slowClosed.Load(), ad.HeaderTimeouts)
-	fmt.Printf("floods:    %d clients, %d attempts — %d served, %d refused; server rate-limited %d at accept\n",
-		o.floods, hc.floodAttempts.Load(), hc.floodServed.Load(), hc.floodRefused.Load(), st.Ratelimited)
-	fmt.Printf("admission: %d header-slot sheds, %d overload sheds, %d parked shed, %d budget-rejected, live peak %d / budget %d\n",
-		ad.HeaderSheds, ad.OverloadSheds, st.ShedParked, st.BudgetRejected, st.LivePeak, st.MaxConns)
-	fmt.Print(st)
-
-	rep := benchReport{
-		Scenario:     "http-hostile",
-		Workers:      o.workers,
-		Clients:      o.clients,
-		Pipeline:     o.pipeline,
-		DurationSecs: secs,
-		ReqPerSec:    float64(requests) / secs,
-		P50us:        percentile(lat, 50),
-		P95us:        percentile(lat, 95),
-		P99us:        percentile(lat, 99),
-		Failed:       failed,
-		Sharded:      st.Sharded,
-		MigrationOn:  o.migrate,
-		LocalityPct:  st.LocalityPct(),
-		StealPct:     st.StealPct(),
-		Migrations:   st.Migrations,
-		Requeued:     st.Requeued,
-		Dropped:      st.Dropped,
-		PoolGets:     st.Pool.Gets(),
-		PoolMisses:   st.Pool.Misses,
-		PoolReusePct: st.Pool.ReusePct(),
-
-		Ratelimited:    st.Ratelimited,
-		ShedParked:     st.ShedParked,
-		BudgetRejected: st.BudgetRejected,
-		AcceptRetries:  st.AcceptRetries,
-		HeaderTimeouts: ad.HeaderTimeouts,
-		HeaderSheds:    ad.HeaderSheds,
-		OverloadSheds:  ad.OverloadSheds,
-		LivePeak:       st.LivePeak,
-		MaxConns:       st.MaxConns,
-		SlowClients:    o.slowloris,
-		SlowClosed:     hc.slowClosed.Load(),
-		FloodClients:   o.floods,
-		FloodAttempts:  hc.floodAttempts.Load(),
-		FloodServed:    hc.floodServed.Load(),
-		FloodRefused:   hc.floodRefused.Load(),
-	}
-	rep.fillEnv()
-	if o.jsonPath != "" {
-		if err := appendJSONReport(o.jsonPath, rep); err != nil {
-			return fmt.Errorf("write %s: %w", o.jsonPath, err)
-		}
-		fmt.Printf("\nappended %q record to %s\n", rep.Scenario, o.jsonPath)
-	}
-	return nil
-}
-
-// driveHostileHTTP is driveHTTP with a connect phase that retries: a
-// well-behaved client whose very first pass loses a header slot to the
-// startup thundering herd redials instead of giving up, because the
-// hostile run's contract is that persistent legitimate clients are
-// served — a single shed 503 with Retry-After is the mechanism working,
-// not a failure.
-func driveHostileHTTP(target string, o httpOpts) (lat []float64, requests, failed uint64) {
-	var mu sync.Mutex
-	var reqN, failN atomic.Uint64
-	stop := time.Now().Add(o.duration)
-	var wg sync.WaitGroup
-	for c := 0; c < o.clients; c++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			var conn net.Conn
-			var respLen int
-			for attempt := 0; ; attempt++ {
-				if attempt == 20 || !time.Now().Before(stop) {
-					failN.Add(1)
-					return
-				}
-				nc, err := net.Dial("tcp", target)
-				if err != nil {
-					time.Sleep(20 * time.Millisecond)
-					continue
-				}
-				nc.SetDeadline(time.Now().Add(o.duration + 30*time.Second))
-				if respLen, err = learnResponseLen(nc); err != nil {
-					nc.Close() // shed at the door: back off and retry
-					time.Sleep(50 * time.Millisecond)
-					continue
-				}
-				conn = nc
-				break
-			}
-			defer conn.Close()
-			reqN.Add(1)
-			batch := bytes.Repeat(httpBenchRequest, o.pipeline)
-			resp := make([]byte, respLen*o.pipeline)
-			local := make([]float64, 0, 4096)
-			defer func() {
-				mu.Lock()
-				lat = append(lat, local...)
-				mu.Unlock()
-			}()
-			for time.Now().Before(stop) {
-				t0 := time.Now()
-				if _, err := conn.Write(batch); err != nil {
-					failN.Add(1)
-					return
-				}
-				if _, err := io.ReadFull(conn, resp); err != nil {
-					failN.Add(1)
-					return
-				}
-				local = append(local, float64(time.Since(t0).Microseconds())/float64(o.pipeline))
-				reqN.Add(uint64(o.pipeline))
-			}
+			defer attackers.Done()
+			runFlood(target, loopbackSource(1+i/250, 2+i%250), attackStart, h.stop, &hc)
 		}()
 	}
-	wg.Wait()
-	return lat, reqN.Load(), failN.Load()
+
+	driveHTTP(h, target, o, 20)
+	h.wait()
+	attackers.Wait()
+	ad := srv.Admission()
+
+	return (&run{
+		o: o, srv: srv, h: h,
+		title: fmt.Sprintf("HOSTILE — %d well-behaved pipelined conns vs %d slowloris + %d per-IP floods",
+			o.clients, o.slowloris, o.floods),
+		rep: benchReport{
+			Pipeline:       o.pipeline,
+			HeaderTimeouts: ad.HeaderTimeouts,
+			HeaderSheds:    ad.HeaderSheds,
+			OverloadSheds:  ad.OverloadSheds,
+			SlowClients:    o.slowloris,
+			SlowClosed:     hc.slowClosed.Load(),
+			FloodClients:   o.floods,
+			FloodAttempts:  hc.floodAttempts.Load(),
+			FloodServed:    hc.floodServed.Load(),
+			FloodRefused:   hc.floodRefused.Load(),
+		},
+		detail: func(st serve.Stats, _ *benchReport) {
+			fmt.Printf("slowloris: %d clients, %d cut off at the header deadline (server counted %d)\n",
+				o.slowloris, hc.slowClosed.Load(), ad.HeaderTimeouts)
+			fmt.Printf("floods:    %d clients, %d attempts — %d served, %d refused; server rate-limited %d at accept\n",
+				o.floods, hc.floodAttempts.Load(), hc.floodServed.Load(), hc.floodRefused.Load(), st.Ratelimited)
+			fmt.Printf("admission: %d header-slot sheds, %d overload sheds\n", ad.HeaderSheds, ad.OverloadSheds)
+		},
+	}).finish()
 }
 
 // runSlowloris drips header bytes on fresh connections until the server

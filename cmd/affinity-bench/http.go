@@ -7,72 +7,20 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"affinityaccept/httpaff"
+	"affinityaccept/serve"
 )
-
-// httpOpts carries the -http flag values.
-type httpOpts struct {
-	addr     string
-	workers  int
-	clients  int // concurrent keep-alive connections
-	pipeline int // requests per pipelined batch
-	payload  int // response body bytes
-	duration time.Duration
-	noShard  bool
-
-	migrate      bool
-	migrateEvery time.Duration
-	groups       int
-	jsonPath     string
-
-	// scrapeEvery > 0 runs a concurrent scraper that fetches /metrics
-	// and /debug/events at this period for the whole window — the CI
-	// gate that observability reads don't tax the serving path.
-	scrapeEvery time.Duration
-
-	// tracePath, when set, saves the run's control-plane timeline as a
-	// Chrome trace-event file after shutdown. chips feeds the NUMA
-	// attribution pass (serve.Config.Chips).
-	tracePath string
-	chips     int
-}
-
-func (o httpOpts) scenario() string {
-	switch {
-	case o.tracePath != "":
-		return "http-keepalive-traced"
-	case o.scrapeEvery > 0:
-		return "http-keepalive-scraped"
-	case o.migrate:
-		return "http-keepalive"
-	default:
-		return "http-keepalive-nomigrate"
-	}
-}
 
 // runHTTPBench starts an httpaff server, drives it with pipelined
 // keep-alive clients, and prints the combined transport + pool report.
-func runHTTPBench(o httpOpts) error {
-	if o.workers <= 0 {
-		o.workers = runtime.GOMAXPROCS(0)
-		if o.workers < 2 {
-			o.workers = 2
-		}
-	}
-	if o.pipeline <= 0 {
-		o.pipeline = 16
-	}
+func runHTTPBench(o opts) error {
 	body := bytes.Repeat([]byte("x"), o.payload)
 	// The bench handler is mounted on a router alongside the unified
 	// metrics and event endpoints, so a scraper can hit the same server
@@ -94,131 +42,47 @@ func runHTTPBench(o httpOpts) error {
 	r.Handle("/debug/trace", func(ctx *httpaff.RequestCtx) {
 		httpaff.TraceHandler(srv)(ctx)
 	})
-	srv, err := httpaff.New(httpaff.Config{
-		Addr:             o.addr,
-		Workers:          o.workers,
-		DisableReusePort: o.noShard,
-		FlowGroups:       o.groups,
-		MigrateInterval:  o.migrateEvery,
-		DisableMigration: !o.migrate,
-		Chips:            o.chips,
-		Handler:          r.Serve,
-	})
+	srv, err := httpaff.New(o.httpConfig(r.Serve))
 	if err != nil {
 		return err
 	}
 	srv.Start()
 	target := srv.Addr().String()
-	mode := "shared listener"
-	if srv.Sharded() {
-		mode = "SO_REUSEPORT shards"
-	}
-	migr := "off"
-	if o.migrate {
-		migr = "on"
-	}
-	fmt.Printf("httpaff on %s: %d workers, %s, %d flow groups, migration %s\n",
-		target, o.workers, mode, srv.FlowGroups(), migr)
+	banner("httpaff", srv, o)
 
+	h := newHarness(o.duration)
 	var scrapes uint64
 	scrapeDone := make(chan struct{})
 	if o.scrapeEvery > 0 {
 		go func() {
 			defer close(scrapeDone)
-			scrapes = scrapeLoop(target, o.scrapeEvery, time.Now().Add(o.duration))
+			scrapes = scrapeLoop(target, o.scrapeEvery, h.stop)
 		}()
 	} else {
 		close(scrapeDone)
 	}
-	lat, requests, failed := driveHTTP(target, o)
+	driveHTTP(h, target, o, 0)
 	<-scrapeDone
-	secs := o.duration.Seconds()
 
-	fmt.Println()
-	fmt.Printf("HTTP — pipelined keep-alive over loopback (%d conns, %d reqs/batch, %dB body)\n",
-		o.clients, o.pipeline, o.payload)
-	header := []string{"workers", "conns", "pipeline", "secs", "req/s", "p50(us)", "p95(us)", "p99(us)", "failed"}
-	row := []string{
-		fmt.Sprintf("%d", o.workers),
-		fmt.Sprintf("%d", o.clients),
-		fmt.Sprintf("%d", o.pipeline),
-		fmt.Sprintf("%.1f", secs),
-		fmt.Sprintf("%.0f", float64(requests)/secs),
-		fmt.Sprintf("%.0f", percentile(lat, 50)),
-		fmt.Sprintf("%.0f", percentile(lat, 95)),
-		fmt.Sprintf("%.0f", percentile(lat, 99)),
-		fmt.Sprintf("%d", failed),
-	}
-	printAligned(header, [][]string{row})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Println("shutdown:", err)
-	}
-	st := srv.Stats()
-	// Server-side service latency, from the workers' own histograms:
-	// head-read start to response flush, no client or loopback time.
-	srvQ := srv.ServiceLatencyQuantiles(0.5, 0.99, 0.999)
-	fmt.Println()
-	fmt.Printf("locality: %.1f%% of %d handler passes on the owning worker; pool reuse: %.1f%% of %d gets worker-local (%d misses)\n",
-		st.LocalityPct(), st.Served, st.Pool.ReusePct(), st.Pool.Gets(), st.Pool.Misses)
-	fmt.Printf("keep-alive: %d requeues, %d flow-group migrations\n", st.Requeued, st.Migrations)
-	fmt.Printf("server-side service latency: p50 %v  p99 %v  p999 %v\n", srvQ[0], srvQ[1], srvQ[2])
-	if o.scrapeEvery > 0 {
-		fmt.Printf("scraper: %d /metrics + /debug/events fetches at %v period during the run\n", scrapes, o.scrapeEvery)
-	}
-	fmt.Print(st)
-
-	var traceSpans int
-	if o.tracePath != "" {
-		traceSpans, err = saveTrace(o.tracePath, o.workers, srv.Events())
-		if err != nil {
-			return fmt.Errorf("write %s: %w", o.tracePath, err)
-		}
-		fmt.Printf("trace: %d residency spans written to %s\n", traceSpans, o.tracePath)
-	}
-
-	rep := benchReport{
-		Scenario:     o.scenario(),
-		Workers:      o.workers,
-		Clients:      o.clients,
-		Pipeline:     o.pipeline,
-		DurationSecs: secs,
-		ReqPerSec:    float64(requests) / secs,
-		P50us:        percentile(lat, 50),
-		P95us:        percentile(lat, 95),
-		P99us:        percentile(lat, 99),
-		Failed:       failed,
-		Sharded:      st.Sharded,
-		MigrationOn:  o.migrate,
-		LocalityPct:  st.LocalityPct(),
-		StealPct:     st.StealPct(),
-		Migrations:   st.Migrations,
-		Requeued:     st.Requeued,
-		Dropped:      st.Dropped,
-		PoolGets:     st.Pool.Gets(),
-		PoolMisses:   st.Pool.Misses,
-		PoolReusePct: st.Pool.ReusePct(),
-		SrvP50us:     float64(srvQ[0].Nanoseconds()) / 1e3,
-		SrvP99us:     float64(srvQ[1].Nanoseconds()) / 1e3,
-		SrvP999us:    float64(srvQ[2].Nanoseconds()) / 1e3,
-		Scrapes:      scrapes,
-
-		Chips:               o.chips,
-		CrossChipSteals:     st.CrossChipSteals,
-		CrossChipMigrations: st.CrossChipMigrations,
-		TraceFile:           o.tracePath,
-		TraceSpans:          traceSpans,
-	}
-	rep.fillEnv()
-	if o.jsonPath != "" {
-		if err := appendJSONReport(o.jsonPath, rep); err != nil {
-			return fmt.Errorf("write %s: %w", o.jsonPath, err)
-		}
-		fmt.Printf("\nappended %q record to %s\n", rep.Scenario, o.jsonPath)
-	}
-	return nil
+	return (&run{
+		o: o, srv: srv, h: h,
+		title: fmt.Sprintf("HTTP — pipelined keep-alive over loopback (%d conns, %d reqs/batch, %dB body)",
+			o.clients, o.pipeline, o.payload),
+		rep: benchReport{Pipeline: o.pipeline, Scrapes: scrapes},
+		detail: func(st serve.Stats, rep *benchReport) {
+			// Server-side service latency, from the workers' own
+			// histograms: head-read start to response flush, no client
+			// or loopback time.
+			q := srv.ServiceLatencyQuantiles(0.5, 0.99, 0.999)
+			fmt.Printf("server-side service latency: p50 %v  p99 %v  p999 %v\n", q[0], q[1], q[2])
+			rep.SrvP50us = float64(q[0].Nanoseconds()) / 1e3
+			rep.SrvP99us = float64(q[1].Nanoseconds()) / 1e3
+			rep.SrvP999us = float64(q[2].Nanoseconds()) / 1e3
+			if o.scrapeEvery > 0 {
+				fmt.Printf("scraper: %d /metrics + /debug/events fetches at %v period during the run\n", scrapes, o.scrapeEvery)
+			}
+		},
+	}).finish()
 }
 
 var httpBenchRequest = []byte("GET /bench HTTP/1.1\r\nHost: bench\r\nUser-Agent: affinity-bench\r\n\r\n")
@@ -275,92 +139,71 @@ func discardResponse(br *bufio.Reader) error {
 
 // learnResponseLen performs one exchange and returns the (fixed)
 // response length, so the batch loop can read with exact ReadFulls
-// instead of parsing every response.
+// instead of parsing every response. Any answer but a 200 (a shed 503
+// from a hardened server) is an error.
 func learnResponseLen(conn net.Conn) (int, error) {
 	if _, err := conn.Write(httpBenchRequest); err != nil {
 		return 0, err
 	}
-	buf := make([]byte, 64<<10)
-	n := 0
-	for {
-		m, err := conn.Read(buf[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		i := bytes.Index(buf[:n], []byte("\r\n\r\n"))
-		if i < 0 {
-			continue
-		}
-		cl := bytes.Index(buf[:i], []byte("Content-Length: "))
-		if cl < 0 {
-			return 0, fmt.Errorf("response has no Content-Length: %q", buf[:i])
-		}
-		end := bytes.IndexByte(buf[cl:n], '\r') + cl
-		size, err := strconv.Atoi(string(buf[cl+len("Content-Length: ") : end]))
-		if err != nil {
-			return 0, err
-		}
-		total := i + 4 + size
-		for n < total {
-			m, err := conn.Read(buf[n:total])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-		}
-		return total, nil
+	cr := &countingReader{r: conn}
+	br := bufio.NewReader(cr)
+	if status, err := br.ReadSlice('\n'); err != nil {
+		return 0, err
+	} else if !bytes.HasPrefix(status, []byte("HTTP/1.1 200 ")) {
+		return 0, fmt.Errorf("first response: %q", status)
 	}
+	if err := discardResponse(br); err != nil {
+		return 0, err
+	}
+	return cr.n - br.Buffered(), nil
 }
 
-// driveHTTP runs the closed-loop pipelined clients and returns
-// per-request latencies (µs, batch RTT divided by depth), the request
-// count, and failures.
-func driveHTTP(target string, o httpOpts) (lat []float64, requests, failed uint64) {
-	var mu sync.Mutex
-	var reqN, failN atomic.Uint64
-	stop := time.Now().Add(o.duration)
-	var wg sync.WaitGroup
-	for c := 0; c < o.clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", target)
-			if err != nil {
-				failN.Add(1)
-				return
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// driveHTTP runs o.clients closed-loop pipelined keep-alive clients,
+// logging per-request latency as batch RTT divided by depth. Each client
+// first learns the fixed response length with one exchange. A client
+// whose first exchange fails redials up to retries times before it
+// counts a failure: -hostile passes 20, because a well-behaved client
+// whose first pass loses a header slot to the startup thundering herd
+// redials, and a shed 503 with Retry-After is the admission mechanism
+// working, not a failure. Every other mode passes 0.
+func driveHTTP(h *harness, target string, o opts, retries int) {
+	for i := 0; i < o.clients; i++ {
+		h.spawn(func(c *client) {
+			var conn net.Conn
+			var respLen int
+			for attempt := 0; ; attempt++ {
+				nc, err := net.Dial("tcp", target)
+				if err == nil {
+					nc.SetDeadline(time.Now().Add(o.duration + 30*time.Second))
+					if respLen, err = learnResponseLen(nc); err == nil {
+						conn = nc
+						break
+					}
+					nc.Close() // shed at the door
+				}
+				if attempt == retries || !c.live() {
+					c.failed.Add(1)
+					return
+				}
+				time.Sleep(50 * time.Millisecond)
 			}
 			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(o.duration + 30*time.Second))
-			respLen, err := learnResponseLen(conn)
-			if err != nil {
-				failN.Add(1)
-				return
-			}
-			reqN.Add(1)
+			c.reqs.Add(1)
 			batch := bytes.Repeat(httpBenchRequest, o.pipeline)
 			resp := make([]byte, respLen*o.pipeline)
-			local := make([]float64, 0, 4096)
-			defer func() {
-				mu.Lock()
-				lat = append(lat, local...)
-				mu.Unlock()
-			}()
-			for time.Now().Before(stop) {
-				t0 := time.Now()
-				if _, err := conn.Write(batch); err != nil {
-					failN.Add(1)
-					return
-				}
-				if _, err := io.ReadFull(conn, resp); err != nil {
-					failN.Add(1)
-					return
-				}
-				local = append(local, float64(time.Since(t0).Microseconds())/float64(o.pipeline))
-				reqN.Add(uint64(o.pipeline))
-			}
-		}()
+			c.loop(o.pipeline, func() error { return roundTrip(conn, batch, resp) })
+		})
 	}
-	wg.Wait()
-	return lat, reqN.Load(), failN.Load()
 }

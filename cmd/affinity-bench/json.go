@@ -1,5 +1,5 @@
-// JSON emission for the perf trajectory: each -serve run can append one
-// record to a JSON array file (CI writes BENCH_ci.json this way and
+// JSON emission for the perf trajectory: each loopback run can append
+// one record to a JSON array file (CI writes BENCH_ci.json this way and
 // uploads it as an artifact, so every commit leaves a data point).
 package main
 
@@ -9,9 +9,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"time"
+
+	"affinityaccept/serve"
 )
 
-// benchReport is one -serve/-http run's metrics, shaped for trend
+// benchReport is one loopback run's metrics, shaped for trend
 // tooling: throughput, latency percentiles, the paper's locality, steal
 // and migration counters, the httpaff pool counters, and the runtime
 // environment (fillEnv) so records are comparable across runs and
@@ -38,7 +41,8 @@ type benchReport struct {
 	Requeued     uint64  `json:"requeued"`
 	Dropped      uint64  `json:"dropped"`
 
-	// httpaff worker-local pool counters (http scenarios only).
+	// Worker-local pool counters: httpaff's request-context pool, or
+	// wsaff's codec-buffer pool in -ws scenarios.
 	PoolGets     uint64  `json:"poolGets,omitempty"`
 	PoolMisses   uint64  `json:"poolMisses,omitempty"`
 	PoolReusePct float64 `json:"poolReusePct,omitempty"`
@@ -88,7 +92,8 @@ type benchReport struct {
 	PinnedWorkers      int     `json:"pinnedWorkers,omitempty"`
 	PinFailures        uint64  `json:"pinFailures,omitempty"`
 
-	// proxyaff upstream connection-pool counters (proxy scenarios only).
+	// proxyaff upstream connection-pool counters (proxy scenarios only;
+	// Backends is the -proxy farm size).
 	Backends         int     `json:"backends,omitempty"`
 	UpstreamGets     uint64  `json:"upstreamGets,omitempty"`
 	UpstreamMisses   uint64  `json:"upstreamMisses,omitempty"`
@@ -143,6 +148,46 @@ type benchReport struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	OS         string `json:"os"`
 	Arch       string `json:"arch"`
+}
+
+// addStats copies the server's end-of-run Stats into the record. pool
+// backs the poolGets/poolMisses/poolReusePct fields: the server's own
+// object pool (st.Pool), or under -ws the wsaff codec-buffer pool, which
+// CI gates as codec-buffer reuse. An untouched pool leaves its fields
+// zero, and so out of the JSON.
+func (r *benchReport) addStats(o opts, st serve.Stats, pool serve.PoolStats) {
+	r.Sharded = st.Sharded
+	r.LocalityPct = st.LocalityPct()
+	r.StealPct = st.StealPct()
+	r.ServedStolen = st.ServedStolen
+	r.Migrations = st.Migrations
+	r.Requeued = st.Requeued
+	r.Dropped = st.Dropped
+	if pool.Gets() > 0 {
+		r.PoolGets, r.PoolMisses, r.PoolReusePct = pool.Gets(), pool.Misses, pool.ReusePct()
+	}
+	if up := st.Upstream; up.Gets() > 0 {
+		r.UpstreamGets, r.UpstreamMisses, r.UpstreamReusePct = up.Gets(), up.Misses, up.ReusePct()
+	}
+
+	r.Chips = o.chips
+	r.DistanceBlind = o.chips > 1 && !o.distAware
+	r.CrossChipSteals = st.CrossChipSteals
+	r.CrossChipMigrations = st.CrossChipMigrations
+	r.StealEstCycles = st.StealEstCycles
+	r.AdaptiveIntervalMs = float64(st.AdaptiveInterval) / float64(time.Millisecond)
+	r.FrozenGroups = st.FrozenGroups
+	r.GroupFreezes = st.GroupFreezes
+	r.GroupUnfreezes = st.GroupUnfreezes
+	r.PinnedWorkers = st.PinnedWorkers
+	r.PinFailures = st.PinFailures
+
+	r.Ratelimited = st.Ratelimited
+	r.ShedParked = st.ShedParked
+	r.BudgetRejected = st.BudgetRejected
+	r.AcceptRetries = st.AcceptRetries
+	r.LivePeak = st.LivePeak
+	r.MaxConns = st.MaxConns
 }
 
 // fillEnv stamps the runtime environment onto the record.

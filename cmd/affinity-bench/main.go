@@ -1,5 +1,5 @@
 // Command affinity-bench regenerates the paper's tables and figures,
-// and can also drive the real serve.Server over loopback.
+// and can also drive the real serving stack over loopback.
 //
 // Usage:
 //
@@ -31,244 +31,241 @@
 //	affinity-bench -hostile                # admission control under attack:
 //	                                       # normal clients + slowloris + floods
 //	affinity-bench -hostile -slowloris 16 -floods 8      # heavier attack
+//
+// The transport flags (-addr -workers -noshard -groups -migrate
+// -migrate-interval -chips -distance-aware -adaptive -pin) and -trace
+// apply to every server mode: -serve, -http, -proxy, -ws and -hostile.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"affinityaccept"
 )
 
+// opts holds every flag value; each flag binds straight into it.
+type opts struct {
+	list, all, quick bool
+	seed             int64
+
+	serve    bool
+	client   string // external target; empty = built-in loopback server
+	addr     string
+	workers  int
+	clients  int
+	reqs     int // requests per connection (-serve echo)
+	payload  int // request/response payload bytes
+	duration time.Duration
+	stallMS  float64 // artificial per-connection stall on worker 0
+	noShard  bool    // force the single-shared-listener fallback
+
+	http     bool
+	pipeline int // requests per pipelined batch
+
+	proxy    bool
+	backends int  // in-process backend servers
+	pinned   bool // worker-pinned backend selection (vs round-robin)
+
+	hostile   bool
+	slowloris int           // concurrent header-dripping clients
+	floods    int           // concurrent per-IP connect-flood clients
+	ipRate    float64       // per-IP accept rate (conns/sec/bucket)
+	ipBurst   int           // per-IP accept burst (0 = 2x clients)
+	maxConns  int           // transport connection budget
+	headerTO  time.Duration // header read deadline
+
+	ws             bool
+	held           int           // held-open idle subscribed connections
+	broadcastEvery time.Duration // publish period (0 = no broadcasts)
+	scenarioName   string        // overrides the recorded scenario name
+
+	longlived    int           // long-lived skewed connections (0 = short-lived echo)
+	hotWorkers   int           // workers whose groups receive the skew (<=1 = worker 0 only)
+	work         time.Duration // per-request handler service time
+	migrate      bool          // run the §3.3.2 migration loop
+	migrateEvery time.Duration // migration tick (0 = paper default)
+	groups       int           // flow-group count (0 = default)
+	scrapeEvery  time.Duration // -http: concurrent /metrics scraper period
+	tracePath    string        // save a Chrome trace-event file here
+	chips        int           // simulated chip count for NUMA attribution
+	distAware    bool          // order steal victims same-chip-first (chips > 1)
+	adaptive     bool          // adaptive migration interval + ping-pong freezing
+	pin          bool          // sched_setaffinity each worker thread to a CPU
+	jsonPath     string        // append metrics to this JSON array file
+	cpuprofile   string
+}
+
+// bind declares every flag on fs, bound to a field of o.
+func (o *opts) bind(fs *flag.FlagSet) {
+	fs.BoolVar(&o.list, "list", false, "list available experiments")
+	fs.BoolVar(&o.all, "all", false, "run every experiment")
+	fs.BoolVar(&o.quick, "quick", false, "reduced sweeps and windows")
+	fs.Int64Var(&o.seed, "seed", 42, "simulation seed")
+
+	fs.BoolVar(&o.serve, "serve", false, "benchmark the real serve.Server over loopback")
+	fs.StringVar(&o.client, "client", "", "drive an external server at host:port instead of starting one")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address of the server under test (every server mode)")
+	fs.IntVar(&o.workers, "workers", 0, "worker count of the server under test (0 = GOMAXPROCS, at least 2)")
+	fs.IntVar(&o.clients, "clients", 32, "concurrent load-generator connections")
+	fs.IntVar(&o.reqs, "reqs", 6, "requests per connection (paper's reuse: 6)")
+	fs.IntVar(&o.payload, "payload", 64, "request/response payload bytes")
+	fs.DurationVar(&o.duration, "duration", 2*time.Second, "load-generation window")
+	fs.Float64Var(&o.stallMS, "stall", 0, "stall worker 0 this many ms per connection (demonstrates stealing)")
+	fs.BoolVar(&o.noShard, "noshard", false, "force the shared-listener fallback instead of SO_REUSEPORT")
+
+	fs.BoolVar(&o.http, "http", false, "benchmark the httpaff HTTP/1.1 layer with pipelined keep-alive clients")
+	fs.IntVar(&o.pipeline, "pipeline", 16, "requests per pipelined batch in -http/-proxy/-hostile mode")
+
+	fs.BoolVar(&o.proxy, "proxy", false, "benchmark the proxyaff edge: clients → reverse proxy → in-process backends")
+	fs.IntVar(&o.backends, "backends", 2, "in-process backend servers in -proxy mode")
+	fs.BoolVar(&o.pinned, "pinned", true, "worker-pinned backend selection in -proxy mode (false = round-robin)")
+
+	fs.BoolVar(&o.hostile, "hostile", false, "benchmark admission control: the -http workload plus slowloris and per-IP flood attackers against a hardened server")
+	fs.IntVar(&o.slowloris, "slowloris", 8, "header-dripping attacker connections in -hostile mode")
+	fs.IntVar(&o.floods, "floods", 3, "per-IP connect-flood attackers in -hostile mode")
+	fs.Float64Var(&o.ipRate, "ip-rate", 5, "per-IP accept rate (conns/sec per bucket) in -hostile mode")
+	fs.IntVar(&o.ipBurst, "ip-burst", 0, "per-IP accept burst in -hostile mode (0 = 2x -clients)")
+	fs.IntVar(&o.maxConns, "maxconns", 256, "transport connection budget in -hostile mode")
+	fs.DurationVar(&o.headerTO, "header-timeout", 500*time.Millisecond, "header read deadline in -hostile mode")
+
+	fs.BoolVar(&o.ws, "ws", false, "benchmark the wsaff WebSocket layer: skewed long-lived echo connections, optional held-open and broadcast load")
+	fs.IntVar(&o.held, "held", 0, "held-open idle subscribed WebSocket connections in -ws mode")
+	fs.DurationVar(&o.broadcastEvery, "broadcast-every", 0, "publish a broadcast at this period in -ws mode (0 = off)")
+	fs.StringVar(&o.scenarioName, "scenario", "", "override the scenario name recorded in the -json report")
+
+	fs.IntVar(&o.longlived, "longlived", 0, "drive N long-lived keep-alive connections skewed onto worker 0's flow groups (demonstrates §3.3.2 migration)")
+	fs.IntVar(&o.hotWorkers, "hot-workers", 1, "spread the -longlived and -ws skew over this many workers, one per chip first (the distance-aware A/B needs a hot victim on each chip)")
+	fs.DurationVar(&o.work, "work", 200*time.Microsecond, "per-request handler service time in -longlived and -ws mode")
+	fs.BoolVar(&o.migrate, "migrate", true, "enable the flow-group migration loop")
+	fs.DurationVar(&o.migrateEvery, "migrate-interval", 0, "migration tick (0 = the paper's 100ms)")
+	fs.IntVar(&o.groups, "groups", 0, "flow-group count (0 = the paper's 4096; -longlived and -ws default to 64)")
+	fs.DurationVar(&o.scrapeEvery, "scrape-every", 0, "in -http mode, fetch /metrics and /debug/events at this period during the run (0 = no scraper)")
+	fs.StringVar(&o.tracePath, "trace", "", "save the run's control-plane timeline as a Chrome trace-event file (load in chrome://tracing or Perfetto); every server mode")
+	fs.IntVar(&o.chips, "chips", 0, "simulated chip count for the NUMA attribution pass (0 or 1 = flat single-chip)")
+	fs.BoolVar(&o.distAware, "distance-aware", true, "order steal victims same-chip-first when -chips > 1 (false = the distance-blind wraparound scan)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "adaptive migration: back the tick interval off once locality converges, freeze ping-ponging flow groups")
+	fs.BoolVar(&o.pin, "pin", false, "pin each worker's OS thread to a CPU via sched_setaffinity (degrades to unpinned where unsupported)")
+	fs.StringVar(&o.jsonPath, "json", "", "append this run's metrics to a JSON array file (e.g. BENCH_ci.json)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+}
+
 func main() {
-	var (
-		list  = flag.Bool("list", false, "list available experiments")
-		all   = flag.Bool("all", false, "run every experiment")
-		quick = flag.Bool("quick", false, "reduced sweeps and windows")
-		seed  = flag.Int64("seed", 42, "simulation seed")
-
-		serveMode = flag.Bool("serve", false, "benchmark the real serve.Server over loopback")
-		client    = flag.String("client", "", "drive an external server at host:port instead of starting one")
-		addr      = flag.String("addr", "127.0.0.1:0", "listen address for -serve")
-		workers   = flag.Int("workers", 0, "worker count for -serve (0 = GOMAXPROCS)")
-		clients   = flag.Int("clients", 32, "concurrent load-generator connections")
-		reqs      = flag.Int("reqs", 6, "requests per connection (paper's reuse: 6)")
-		payload   = flag.Int("payload", 64, "request/response payload bytes")
-		duration  = flag.Duration("duration", 2*time.Second, "load-generation window")
-		stall     = flag.Float64("stall", 0, "stall worker 0 this many ms per connection (demonstrates stealing)")
-		noShard   = flag.Bool("noshard", false, "force the shared-listener fallback instead of SO_REUSEPORT")
-
-		httpMode = flag.Bool("http", false, "benchmark the httpaff HTTP/1.1 layer with pipelined keep-alive clients")
-		pipeline = flag.Int("pipeline", 16, "requests per pipelined batch in -http/-proxy mode")
-
-		proxyMode = flag.Bool("proxy", false, "benchmark the proxyaff edge: clients → reverse proxy → in-process backends")
-		nBackends = flag.Int("backends", 2, "in-process backend servers in -proxy mode")
-		pinned    = flag.Bool("pinned", true, "worker-pinned backend selection in -proxy mode (false = round-robin)")
-
-		hostileMode = flag.Bool("hostile", false, "benchmark admission control: the -http workload plus slowloris and per-IP flood attackers against a hardened server")
-		slowloris   = flag.Int("slowloris", 8, "header-dripping attacker connections in -hostile mode")
-		floods      = flag.Int("floods", 3, "per-IP connect-flood attackers in -hostile mode")
-		ipRate      = flag.Float64("ip-rate", 5, "per-IP accept rate (conns/sec per bucket) in -hostile mode")
-		ipBurst     = flag.Int("ip-burst", 0, "per-IP accept burst in -hostile mode (0 = 2x -clients)")
-		maxConns    = flag.Int("maxconns", 256, "transport connection budget in -hostile mode")
-		headerTO    = flag.Duration("header-timeout", 500*time.Millisecond, "header read deadline in -hostile mode")
-
-		wsMode    = flag.Bool("ws", false, "benchmark the wsaff WebSocket layer: skewed long-lived echo connections, optional held-open and broadcast load")
-		held      = flag.Int("held", 0, "held-open idle subscribed WebSocket connections in -ws mode")
-		broadcast = flag.Duration("broadcast-every", 0, "publish a broadcast at this period in -ws mode (0 = off)")
-		scenario  = flag.String("scenario", "", "override the scenario name recorded in the -json report (-ws mode)")
-
-		longlived    = flag.Int("longlived", 0, "drive N long-lived keep-alive connections skewed onto worker 0's flow groups (demonstrates §3.3.2 migration)")
-		hotWorkers   = flag.Int("hot-workers", 1, "spread the -longlived skew over this many workers, one per chip first (the distance-aware A/B needs a hot victim on each chip)")
-		work         = flag.Duration("work", 200*time.Microsecond, "per-request handler service time in -longlived mode")
-		migrate      = flag.Bool("migrate", true, "enable the flow-group migration loop")
-		migrateEvery = flag.Duration("migrate-interval", 0, "migration tick (0 = the paper's 100ms)")
-		groups       = flag.Int("groups", 0, "flow-group count (0 = the paper's 4096; -longlived defaults to 16)")
-		scrapeEvery  = flag.Duration("scrape-every", 0, "in -http mode, fetch /metrics and /debug/events at this period during the run (0 = no scraper)")
-		tracePath    = flag.String("trace", "", "save the run's control-plane timeline as a Chrome trace-event file (load in chrome://tracing or Perfetto); -serve and -http modes")
-		chips        = flag.Int("chips", 0, "simulated chip count for the NUMA attribution pass (0 or 1 = flat single-chip)")
-		distAware    = flag.Bool("distance-aware", true, "order steal victims same-chip-first when -chips > 1 (false = the distance-blind wraparound scan)")
-		adaptive     = flag.Bool("adaptive", false, "adaptive migration: back the tick interval off once locality converges, freeze ping-ponging flow groups")
-		pin          = flag.Bool("pin", false, "pin each worker's OS thread to a CPU via sched_setaffinity (degrades to unpinned where unsupported)")
-		jsonPath     = flag.String("json", "", "append this run's metrics to a JSON array file (e.g. BENCH_ci.json)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	)
+	var o opts
+	o.bind(flag.CommandLine)
 	flag.Parse()
+	if err := execute(o, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+// execute runs one invocation: a loopback benchmark when a server mode
+// or -client is set, otherwise the selected simulator experiments.
+func execute(o opts, ids []string) error {
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
-
-	if *hostileMode {
-		burst := *ipBurst
-		if burst <= 0 {
-			burst = 2 * *clients
-		}
-		err := runHostileBench(hostileOpts{
-			httpOpts: httpOpts{
-				addr:         *addr,
-				workers:      *workers,
-				clients:      *clients,
-				pipeline:     *pipeline,
-				payload:      *payload,
-				duration:     *duration,
-				noShard:      *noShard,
-				migrate:      *migrate,
-				migrateEvery: *migrateEvery,
-				groups:       *groups,
-				jsonPath:     *jsonPath,
-			},
-			slowloris: *slowloris,
-			floods:    *floods,
-			ipRate:    *ipRate,
-			ipBurst:   burst,
-			maxConns:  *maxConns,
-			headerTO:  *headerTO,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	if o.serve || o.client != "" || o.http || o.proxy || o.ws || o.hostile {
+		return runBench(o)
 	}
-
-	if *wsMode {
-		err := runWSBench(wsOpts{
-			addr:           *addr,
-			workers:        *workers,
-			conns:          *clients,
-			held:           *held,
-			payload:        *payload,
-			duration:       *duration,
-			work:           *work,
-			noShard:        *noShard,
-			broadcastEvery: *broadcast,
-			migrate:        *migrate,
-			migrateEvery:   *migrateEvery,
-			groups:         *groups,
-			jsonPath:       *jsonPath,
-			scenarioName:   *scenario,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *proxyMode {
-		err := runProxyBench(proxyOpts{
-			httpOpts: httpOpts{
-				addr:         *addr,
-				workers:      *workers,
-				clients:      *clients,
-				pipeline:     *pipeline,
-				payload:      *payload,
-				duration:     *duration,
-				noShard:      *noShard,
-				migrate:      *migrate,
-				migrateEvery: *migrateEvery,
-				groups:       *groups,
-				jsonPath:     *jsonPath,
-			},
-			backends: *nBackends,
-			pinned:   *pinned,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *httpMode {
-		err := runHTTPBench(httpOpts{
-			addr:         *addr,
-			workers:      *workers,
-			clients:      *clients,
-			pipeline:     *pipeline,
-			payload:      *payload,
-			duration:     *duration,
-			noShard:      *noShard,
-			migrate:      *migrate,
-			migrateEvery: *migrateEvery,
-			groups:       *groups,
-			jsonPath:     *jsonPath,
-			scrapeEvery:  *scrapeEvery,
-			tracePath:    *tracePath,
-			chips:        *chips,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveMode || *client != "" {
-		err := runServeBench(serveOpts{
-			addr:         *addr,
-			client:       *client,
-			workers:      *workers,
-			clients:      *clients,
-			reqs:         *reqs,
-			payload:      *payload,
-			duration:     *duration,
-			stallMS:      *stall,
-			noShard:      *noShard,
-			longlived:    *longlived,
-			hotWorkers:   *hotWorkers,
-			work:         *work,
-			migrate:      *migrate,
-			migrateEvery: *migrateEvery,
-			groups:       *groups,
-			jsonPath:     *jsonPath,
-			tracePath:    *tracePath,
-			chips:        *chips,
-			distAware:    *distAware,
-			adaptive:     *adaptive,
-			pin:          *pin,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
+	if o.list {
 		for _, id := range affinityaccept.Experiments() {
 			fmt.Printf("%-4s %s\n", id, affinityaccept.DescribeExperiment(id))
 		}
-		return
+		return nil
 	}
-
-	ids := flag.Args()
-	if *all || len(ids) == 0 {
+	if o.all || len(ids) == 0 {
 		ids = affinityaccept.Experiments()
 	}
-
-	opt := affinityaccept.Options{Quick: *quick, Seed: *seed}
+	opt := affinityaccept.Options{Quick: o.quick, Seed: o.seed}
 	for _, id := range ids {
 		start := time.Now()
 		res, err := affinityaccept.RunExperiment(id, opt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Println(res.Render())
 		fmt.Printf("(%s took %.1fs)\n\n", id, time.Since(start).Seconds())
+	}
+	return nil
+}
+
+// runBench applies the defaults every loopback mode shares and runs the
+// selected one; when several mode flags are set, the first of -hostile,
+// -ws, -proxy, -http wins, then -serve/-client.
+func runBench(o opts) error {
+	if o.workers <= 0 {
+		o.workers = max(runtime.GOMAXPROCS(0), 2) // stealing needs someone to steal from
+	}
+	if o.pipeline <= 0 {
+		o.pipeline = 16
+	}
+	if (o.ws || o.longlived > 0) && o.groups == 0 {
+		// A compact table keeps the skew legible — worker 0 owns
+		// groups/workers of them and the report shows whole groups
+		// moving — while 64 groups is still fine-grained enough for
+		// migration to spread the hot groups evenly over the claimants.
+		o.groups = 64
+	}
+	switch {
+	case o.hostile:
+		return runHostileBench(o)
+	case o.ws:
+		return runWSBench(o)
+	case o.proxy:
+		return runProxyBench(o)
+	case o.http:
+		return runHTTPBench(o)
+	default:
+		return runServeBench(o)
+	}
+}
+
+// scenario names the run for reports and the JSON trajectory file.
+// -scenario overrides it: CI records the held-socket -ws run as
+// "ws-held" so trend tooling keyed on "ws-echo" keeps reading the
+// echo-throughput runs.
+func (o opts) scenario() string {
+	migr := func(name string) string {
+		if o.migrate {
+			return name
+		}
+		return name + "-nomigrate"
+	}
+	switch {
+	case o.scenarioName != "":
+		return o.scenarioName
+	case o.hostile:
+		return "http-hostile"
+	case o.ws:
+		return migr("ws-echo")
+	case o.proxy:
+		return migr("proxy-keepalive")
+	case o.http && o.tracePath != "":
+		return "http-keepalive-traced"
+	case o.http && o.scrapeEvery > 0:
+		return "http-keepalive-scraped"
+	case o.http:
+		return migr("http-keepalive")
+	case o.longlived > 0 && o.migrate:
+		return "longlived-migrate"
+	case o.longlived > 0:
+		return "longlived-steal-only"
+	case o.stallMS > 0:
+		return "echo-stall"
+	default:
+		return "echo"
 	}
 }

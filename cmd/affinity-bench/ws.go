@@ -9,7 +9,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -19,58 +18,16 @@ import (
 
 	"affinityaccept/httpaff"
 	"affinityaccept/internal/loadgen"
+	"affinityaccept/serve"
 	"affinityaccept/wsaff"
 )
 
-// wsOpts carries the -ws flag values.
-type wsOpts struct {
-	addr     string
-	workers  int
-	conns    int // active echo connections (skewed onto worker 0's groups)
-	held     int // held-open idle subscribed connections
-	payload  int
-	duration time.Duration
-	work     time.Duration // per-message service time
-	noShard  bool
-
-	broadcastEvery time.Duration // publish period (0 = no broadcasts)
-
-	migrate      bool
-	migrateEvery time.Duration
-	groups       int
-	jsonPath     string
-
-	// scenarioName overrides the recorded scenario (the -scenario flag):
-	// CI records the held-socket run as "ws-held" so trend tooling keyed
-	// on "ws-echo" keeps reading the echo-throughput runs.
-	scenarioName string
-}
-
-func (o wsOpts) scenario() string {
-	if o.scenarioName != "" {
-		return o.scenarioName
-	}
-	if o.migrate {
-		return "ws-echo"
-	}
-	return "ws-echo-nomigrate"
-}
-
 // runWSBench starts an httpaff+wsaff echo server and drives it with
 // skewed long-lived WebSocket clients.
-func runWSBench(o wsOpts) error {
-	if o.workers <= 0 {
-		o.workers = runtime.GOMAXPROCS(0)
-		if o.workers < 2 {
-			o.workers = 2
-		}
-	}
-	if o.groups == 0 {
-		o.groups = 64 // compact enough to read, fine-grained enough to migrate
-	}
-	if fds := raiseFDLimit(); fds > 0 && uint64(2*(o.conns+o.held)+64) > fds {
+func runWSBench(o opts) error {
+	if fds := raiseFDLimit(); fds > 0 && uint64(2*(o.clients+o.held)+64) > fds {
 		return fmt.Errorf("-ws with %d connections needs ~%d file descriptors (two per loopback conn); the limit is %d — lower -held or raise ulimit -n",
-			o.conns+o.held, 2*(o.conns+o.held)+64, fds)
+			o.clients+o.held, 2*(o.clients+o.held)+64, fds)
 	}
 	ws, err := wsaff.New(wsaff.Config{
 		Workers: o.workers,
@@ -86,70 +43,44 @@ func runWSBench(o wsOpts) error {
 		return err
 	}
 	ws.Start()
-	srv, err := httpaff.New(httpaff.Config{
-		Addr:             o.addr,
-		Workers:          o.workers,
-		DisableReusePort: o.noShard,
-		FlowGroups:       o.groups,
-		MigrateInterval:  o.migrateEvery,
-		DisableMigration: !o.migrate,
-		// The skewed keep-alive queue must cross the busy watermark for
-		// stealing (and therefore migration) to engage.
-		Backlog: o.workers * 64,
-		HighPct: 20, LowPct: 5,
-		Handler: func(ctx *httpaff.RequestCtx) { ws.Upgrade(ctx) },
-	})
+	defer ws.Close()
+	cfg := o.httpConfig(func(ctx *httpaff.RequestCtx) { ws.Upgrade(ctx) })
+	// The skewed keep-alive queue must cross the busy watermark for
+	// stealing (and therefore migration) to engage.
+	cfg.Backlog = o.workers * 64
+	cfg.HighPct, cfg.LowPct = 20, 5
+	srv, err := httpaff.New(cfg)
 	if err != nil {
 		return err
 	}
 	srv.Start()
 	target := srv.Addr().String()
-	mode := "shared listener"
-	if srv.Sharded() {
-		mode = "SO_REUSEPORT shards"
-	}
-	migr := "off"
-	if o.migrate {
-		migr = "on"
-	}
-	fmt.Printf("wsaff on %s: %d workers, %s, %d flow groups, migration %s\n",
-		target, o.workers, mode, srv.FlowGroups(), migr)
+	banner("wsaff", srv, o)
+	// The skew is read off the fresh flow table, before the held
+	// population's accepts give the migration loop anything to move.
+	groups, hot := skew(o, srv)
 
-	// Skew: active connections dial from source ports hashing into flow
-	// groups initially owned by worker 0.
-	groups := 1
-	for groups < o.groups {
-		groups <<= 1
-	}
-	base := loadgen.PortBase(groups)
-	var hot []int
-	for g := 0; g < groups; g++ {
-		if srv.OwnerOf(uint16(base+g)) == 0 {
-			hot = append(hot, g)
-		}
-	}
-	if len(hot) == 0 {
-		hot = []int{0}
-	}
-
-	var mu sync.Mutex
-	var lat []float64
-	var reqN, failN, heldN, bcastGot atomic.Uint64
-	var wg sync.WaitGroup
+	h := newHarness(o.duration)
+	var heldN, bcastGot atomic.Uint64
 
 	// Held-open population: upgraded, subscribed (OnOpen), then idle —
 	// they only answer pings and drain broadcasts. Dialed plainly so
 	// they spread over all workers, like a real fleet of mostly-idle
-	// clients; dialed concurrently (bounded) so a 10k population builds
-	// in seconds, before the measurement window opens. Source IPs
-	// rotate through 127.0.0.0/8 every 20k connections: one loopback
-	// address has only ~28k ephemeral ports against a single listener,
-	// so a 100k+ population needs several — Linux answers for the whole
-	// /8 without configuration.
+	// clients; dialed concurrently so a 10k population builds in
+	// seconds, before the measurement window opens. At most
+	// heldDialsInFlight dials are outstanding: the server's per-worker
+	// queues hold Backlog/workers = 64 connections, and a wider burst
+	// overflows them on a small machine, so the server sheds fresh
+	// upgrades (Stats.Dropped) and the clients see EOF or a reset.
+	// Source IPs rotate through 127.0.0.0/8 every 20k connections: one
+	// loopback address has only ~28k ephemeral ports against a single
+	// listener, so a 100k+ population needs several — Linux answers for
+	// the whole /8 without configuration.
+	const heldDialsInFlight = 16
 	var heldWG, dialWG sync.WaitGroup
 	var heldMu sync.Mutex
 	heldClients := make([]*wsaff.Client, 0, o.held)
-	dialSem := make(chan struct{}, 64)
+	dialSem := make(chan struct{}, heldDialsInFlight)
 	for i := 0; i < o.held; i++ {
 		dialWG.Add(1)
 		dialSem <- struct{}{}
@@ -162,13 +93,13 @@ func runWSBench(o wsOpts) error {
 			}}
 			nc, err := d.Dial("tcp", target)
 			if err != nil {
-				failN.Add(1)
+				h.failed.Add(1)
 				return
 			}
 			c, err := wsaff.NewClient(nc, "/")
 			if err != nil {
 				nc.Close()
-				failN.Add(1)
+				h.failed.Add(1)
 				return
 			}
 			heldN.Add(1)
@@ -176,7 +107,7 @@ func runWSBench(o wsOpts) error {
 			// One send opens the conn server-side (OnOpen → Subscribe).
 			if err := c.Send(wsaff.OpText, []byte("hold")); err != nil {
 				c.Close()
-				failN.Add(1)
+				h.failed.Add(1)
 				return
 			}
 			heldMu.Lock()
@@ -206,70 +137,57 @@ func runWSBench(o wsOpts) error {
 	dialWG.Wait()
 	// The measurement window opens only now that the held population is
 	// parked, so frames/s measures the echo path, not the dial phase.
-	stop := time.Now().Add(o.duration)
+	h.stop = time.Now().Add(o.duration)
 
 	// Broadcast publisher. The fill byte distinguishes broadcast frames
 	// from echo frames, so the closed-loop clients can skip interleaved
 	// broadcasts instead of mistaking one for their echo.
-	bcastStop := make(chan struct{})
-	if o.broadcastEvery > 0 {
+	bcastStop, bcastDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(bcastDone)
+		if o.broadcastEvery <= 0 {
+			return
+		}
 		payload := bytes.Repeat([]byte{'b'}, o.payload)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(o.broadcastEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					ws.Broadcast(wsaff.OpBinary, payload)
-				case <-bcastStop:
-					return
-				}
+		t := time.NewTicker(o.broadcastEvery)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				ws.Broadcast(wsaff.OpBinary, payload)
+			case <-bcastStop:
+				return
 			}
-		}()
-	}
+		}
+	}()
 
-	// Active skewed echo clients.
-	for i := 0; i < o.conns; i++ {
+	// Active echo clients, skewed onto the hot workers' flow groups.
+	for i := 0; i < o.clients; i++ {
 		nc, err := loadgen.DialGroup(target, hot[i%len(hot)], groups)
 		if err != nil {
-			failN.Add(1)
+			h.failed.Add(1)
 			continue
 		}
-		c, err := wsaff.NewClient(nc, "/")
+		wc, err := wsaff.NewClient(nc, "/")
 		if err != nil {
 			nc.Close()
-			failN.Add(1)
+			h.failed.Add(1)
 			continue
 		}
-		c.NetConn().SetDeadline(time.Now().Add(o.duration + 30*time.Second))
-		wg.Add(1)
-		go func(c *wsaff.Client) {
-			defer wg.Done()
-			defer c.Close()
+		wc.NetConn().SetDeadline(time.Now().Add(o.duration + 30*time.Second))
+		h.spawn(func(c *client) {
+			defer wc.Close()
 			msg := bytes.Repeat([]byte{'e'}, o.payload)
-			local := make([]float64, 0, 4096)
-			defer func() {
-				mu.Lock()
-				lat = append(lat, local...)
-				mu.Unlock()
-			}()
-			for time.Now().Before(stop) {
-				t0 := time.Now()
-				if _, err := c.Echo(wsaff.OpBinary, msg); err != nil {
-					failN.Add(1)
-					return
-				}
-				local = append(local, float64(time.Since(t0).Microseconds()))
-				reqN.Add(1)
-			}
-		}(c)
+			c.loop(1, func() error {
+				_, err := wc.Echo(wsaff.OpBinary, msg)
+				return err
+			})
+		})
 	}
 
 	// Wait for the echo window, then stop broadcasting and release the
 	// held population.
-	for time.Now().Before(stop) {
+	for h.live() {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// Sample the process goroutine count while the held population is at
@@ -286,91 +204,43 @@ func runWSBench(o wsOpts) error {
 		}
 	}
 	close(bcastStop)
-	wg.Wait()
-	parked := srv.Transport().Parked()
+	<-bcastDone
+	h.wait()
+	parked := tr.Parked()
 	wsStats := ws.Stats()
 	for _, c := range heldClients {
 		c.Close()
 	}
 	heldWG.Wait()
 
-	secs := o.duration.Seconds()
-	requests := reqN.Load()
-	fmt.Println()
-	fmt.Printf("WS — skewed long-lived echo over loopback (%d active conns on worker 0's groups, %d held-open subscribed, %dB frames, %v work/msg)\n",
-		o.conns, heldN.Load(), o.payload, o.work)
-	header := []string{"workers", "active", "held", "secs", "frames/s", "p50(us)", "p95(us)", "p99(us)", "failed"}
-	row := []string{
-		fmt.Sprintf("%d", o.workers),
-		fmt.Sprintf("%d", o.conns),
-		fmt.Sprintf("%d", heldN.Load()),
-		fmt.Sprintf("%.1f", secs),
-		fmt.Sprintf("%.0f", float64(requests)/secs),
-		fmt.Sprintf("%.0f", percentile(lat, 50)),
-		fmt.Sprintf("%.0f", percentile(lat, 95)),
-		fmt.Sprintf("%.0f", percentile(lat, 99)),
-		fmt.Sprintf("%d", failN.Load()),
-	}
-	printAligned(header, [][]string{row})
+	held := heldN.Load()
+	return (&run{
+		o: o, srv: srv, h: h,
+		title: fmt.Sprintf("WS — skewed long-lived echo over loopback (%d active conns on hot groups, %d held-open subscribed, %dB frames, %v work/msg)",
+			o.clients, held, o.payload, o.work),
+		rep: benchReport{
+			LongLived:    o.clients + int(held),
+			WSHeld:       held,
+			WSParked:     parked,
+			WSFramesIn:   wsStats.FramesIn,
+			WSFramesOut:  wsStats.FramesOut,
+			WSPings:      wsStats.PingsSent,
+			WSPongs:      wsStats.PongsReceived,
+			WSBroadcasts: wsStats.Broadcasts,
+			WSDelivered:  wsStats.Delivered,
+			WSReceived:   bcastGot.Load(),
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Println("shutdown:", err)
-	}
-	ws.Close()
-	st := srv.Stats()
-	fmt.Println()
-	fmt.Printf("locality: %.1f%% of %d passes on the owning worker; %d migrations, %d requeues, %d parked at window end\n",
-		st.LocalityPct(), st.Served, st.Migrations, st.Requeued, parked)
-	fmt.Printf("process: %d goroutines with %d sockets held open; coarse clock at most %.0fus stale\n",
-		goroutines, heldN.Load(), clockLagUs)
-	fmt.Printf("wsaff: %d frames in / %d out, %d pings, %d pongs, %d broadcasts (%d delivered, %d shard drops), codec reuse %.1f%%\n",
-		wsStats.FramesIn, wsStats.FramesOut, wsStats.PingsSent, wsStats.PongsReceived,
-		wsStats.Broadcasts, wsStats.Delivered, wsStats.Dropped, wsStats.Pool.ReusePct())
-	fmt.Print(st)
-
-	rep := benchReport{
-		Scenario:     o.scenario(),
-		Workers:      o.workers,
-		Clients:      o.conns,
-		LongLived:    o.conns + int(heldN.Load()),
-		DurationSecs: secs,
-		ReqPerSec:    float64(requests) / secs,
-		P50us:        percentile(lat, 50),
-		P95us:        percentile(lat, 95),
-		P99us:        percentile(lat, 99),
-		Failed:       failN.Load(),
-		Sharded:      st.Sharded,
-		MigrationOn:  o.migrate,
-		LocalityPct:  st.LocalityPct(),
-		StealPct:     st.StealPct(),
-		Migrations:   st.Migrations,
-		Requeued:     st.Requeued,
-		Dropped:      st.Dropped,
-		PoolGets:     wsStats.Pool.Gets(),
-		PoolMisses:   wsStats.Pool.Misses,
-		PoolReusePct: wsStats.Pool.ReusePct(),
-		WSHeld:       heldN.Load(),
-		WSParked:     parked,
-		WSFramesIn:   wsStats.FramesIn,
-		WSFramesOut:  wsStats.FramesOut,
-		WSPings:      wsStats.PingsSent,
-		WSPongs:      wsStats.PongsReceived,
-		WSBroadcasts: wsStats.Broadcasts,
-		WSDelivered:  wsStats.Delivered,
-		WSReceived:   bcastGot.Load(),
-
-		HeldConns:        heldN.Load(),
-		Goroutines:       goroutines,
-		CoarseClockLagUs: clockLagUs,
-	}
-	rep.fillEnv()
-	if o.jsonPath != "" {
-		if err := appendJSONReport(o.jsonPath, rep); err != nil {
-			return fmt.Errorf("write %s: %w", o.jsonPath, err)
-		}
-		fmt.Printf("\nappended %q record to %s\n", rep.Scenario, o.jsonPath)
-	}
-	return nil
+			HeldConns:        held,
+			Goroutines:       goroutines,
+			CoarseClockLagUs: clockLagUs,
+		},
+		codecPool: &wsStats.Pool,
+		detail: func(serve.Stats, *benchReport) {
+			fmt.Printf("process: %d goroutines with %d sockets held open, %d parked at window end; coarse clock at most %.0fus stale\n",
+				goroutines, held, parked, clockLagUs)
+			fmt.Printf("wsaff: %d frames in / %d out, %d pings, %d pongs, %d broadcasts (%d delivered, %d shard drops), codec reuse %.1f%%\n",
+				wsStats.FramesIn, wsStats.FramesOut, wsStats.PingsSent, wsStats.PongsReceived,
+				wsStats.Broadcasts, wsStats.Delivered, wsStats.Dropped, wsStats.Pool.ReusePct())
+		},
+	}).finish()
 }
